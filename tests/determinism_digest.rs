@@ -241,6 +241,17 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
 const SPLIT_BRAIN_GOLDEN: u64 = 0xce14a2f81c5d4bbc;
 
 fn run_split_brain_scenario() -> RunReport {
+    run_cut_scenario(
+        FaultPlan::new()
+            .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
+            .heal_at(SECOND / 2)
+            .with_split_brain(),
+    )
+}
+
+/// The split-brain scenario's topology, workload and durability settings
+/// under an arbitrary fault plan over the `{N2, N3}` cut.
+fn run_cut_scenario(faults: FaultPlan) -> RunReport {
     let cfg = EngineConfig {
         sim: SimConfig {
             nodes: 4,
@@ -249,10 +260,7 @@ fn run_split_brain_scenario() -> RunReport {
             ..sim()
         },
         plan_interval_us: 300_000,
-        faults: FaultPlan::new()
-            .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
-            .heal_at(SECOND / 2)
-            .with_split_brain(),
+        faults,
         durability: lion::engine::DurabilityConfig::epoch(5_000).with_retry_round_trip(),
         ..EngineConfig::default()
     };
@@ -289,6 +297,47 @@ fn split_brain_scenario_is_reproducible_and_pinned() {
         a.digest(),
         SPLIT_BRAIN_GOLDEN,
         "split-brain digest 0x{:016x} departed from the pinned golden",
+        a.digest()
+    );
+}
+
+/// The crash approximation of the split-brain scenario: the same
+/// configuration, with `{N2, N3}` crashed at the cut and recovered at the
+/// heal instead of kept live. Pins the behavior callers get when they want
+/// the isolated side treated as failed.
+const CRASH_APPROX_GOLDEN: u64 = 0x862ce91afe6abb1d;
+
+fn run_crash_approx_scenario() -> RunReport {
+    run_cut_scenario(
+        FaultPlan::new()
+            .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
+            .heal_at(SECOND / 2),
+    )
+}
+
+#[test]
+fn crash_approximation_scenario_is_reproducible_and_pinned() {
+    let a = run_crash_approx_scenario();
+    let b = run_crash_approx_scenario();
+    assert!(
+        a.commits > 0,
+        "crash-approximation scenario committed nothing"
+    );
+    assert_eq!(a.crashes, 2, "both cut nodes go down");
+    assert_eq!(a.partitions_begun, 0, "no split-brain window opens");
+    assert_eq!(a.acked_then_lost, 0, "no acked commit may be lost");
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "crash-approximation scenario diverged under one seed"
+    );
+    if std::env::var_os("LION_PRINT_DIGESTS").is_some() {
+        eprintln!("lion-crash-approx: 0x{:016x}", a.digest());
+    }
+    assert_eq!(
+        a.digest(),
+        CRASH_APPROX_GOLDEN,
+        "crash-approximation digest 0x{:016x} departed from the pinned golden",
         a.digest()
     );
 }
