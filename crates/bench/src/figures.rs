@@ -852,9 +852,9 @@ pub fn fig_e(scale: Scale) -> String {
 /// set is `{N_i, N_{i+1}, N_{i+2}}`) loses `{N2, N3}` to a network cut one
 /// third into the run and heals at two thirds. Three arms per protocol:
 ///
-/// * **crash-approx** — the legacy path: the majority side treats the
-///   isolated nodes as crashed; every transaction they were serving is
-///   aborted, their goodput is zero for the window.
+/// * **crash-approx** — the cut nodes crash at the cut and recover at the
+///   heal; every transaction they were serving is aborted, their goodput
+///   is zero for the window.
 /// * **quorum-fence** — honest split-brain with epoch group commit and
 ///   round-trip-priced retries: both sides stay live, but a commit whose
 ///   writes touch a partition served from the non-quorum side parks its
@@ -868,17 +868,16 @@ pub fn fig_sb(scale: Scale) -> String {
     let horizon = scale.steady_us * 3;
     let cut_at = horizon / 3;
     let heal_at = 2 * horizon / 3;
-    let cut = vec![NodeId(2), NodeId(3)];
-    let plan = |split: bool| {
-        let p = lion_engine::FaultPlan::new()
-            .partition_at(cut_at, cut.clone())
-            .heal_at(heal_at);
-        if split {
-            p.with_split_brain()
-        } else {
-            p
-        }
-    };
+    let cut = [NodeId(2), NodeId(3)];
+    let split = lion_engine::FaultPlan::new()
+        .partition_at(cut_at, cut.to_vec())
+        .heal_at(heal_at);
+    // Same-time events keep insertion order: both crashes, then both
+    // recoveries.
+    let mut crash_approx = lion_engine::FaultPlan::new();
+    for n in cut {
+        crash_approx = crash_approx.crash_at(cut_at, n).recover_at(heal_at, n);
+    }
     const EPOCH_US: u64 = 5_000;
     let protos = [
         ProtoKind::LionStd,
@@ -903,7 +902,7 @@ pub fn fig_sb(scale: Scale) -> String {
                 ycsb_spec(4, 0.5, 0.0, 93),
                 horizon,
             )
-            .with_faults(plan(false))
+            .with_faults(crash_approx.clone())
             .with_epoch_commit(EPOCH_US),
         );
         jobs.push(
@@ -914,7 +913,7 @@ pub fn fig_sb(scale: Scale) -> String {
                 ycsb_spec(4, 0.5, 0.0, 93),
                 horizon,
             )
-            .with_faults(plan(true))
+            .with_faults(split.clone())
             .with_epoch_commit(EPOCH_US)
             .with_retry_round_trip(),
         );
@@ -926,7 +925,7 @@ pub fn fig_sb(scale: Scale) -> String {
                 ycsb_spec(4, 0.5, 0.0, 93),
                 horizon,
             )
-            .with_faults(plan(true)),
+            .with_faults(split.clone()),
         );
     }
     let reports = run_all(jobs);

@@ -20,7 +20,7 @@
 //! crash, epoch group commit holds it at zero.
 //!
 //! `figsb` is the honest split-brain experiment: quorum fencing vs the
-//! legacy crash approximation vs optimistic minority acks under a network
+//! crash approximation vs optimistic minority acks under a network
 //! cut that both sides survive — availability kept on the minority side
 //! against the divergent work the heal must abort and retry.
 //!

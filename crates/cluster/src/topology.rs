@@ -163,8 +163,8 @@ pub struct Cluster {
     /// eviction, correlated crash scenarios — reads this one vector.
     pub zone_of: Vec<ZoneId>,
     stores: Vec<FastMap<u32, ReplicaStore>>,
-    /// Active split-brain window, when a `split_brain` fault plan has a
-    /// partition open (`None` outside windows and on the legacy path).
+    /// Active split-brain window, when a fault plan has a network
+    /// partition open (`None` outside windows).
     split: Option<SplitBrain>,
 }
 

@@ -177,7 +177,6 @@ pub struct Engine {
     submitted: u64,
     events: u64,
     pending_failovers: FastMap<u32, PendingFailover>,
-    isolated: Vec<NodeId>,
     /// Epoch group-commit ack manager (inert when `epoch_commit_us = 0`).
     epochs: EpochManager,
     /// True in ack-at-commit mode: installs advance the log's ack frontier
@@ -243,7 +242,6 @@ impl Engine {
             submitted: 0,
             events: 0,
             pending_failovers: FastMap::default(),
-            isolated: Vec::new(),
             epochs,
             ack_at_commit,
             batch_buf: Vec::new(),
@@ -477,34 +475,9 @@ impl Engine {
         match kind {
             FaultKind::Crash(node) => self.node_down(proto, node),
             FaultKind::Recover(node) => self.node_up_event(proto, node),
-            FaultKind::Partition(nodes) => {
-                if self.cfg.faults.split_brain() {
-                    let cut: Vec<NodeId> = nodes
-                        .into_iter()
-                        .filter(|&n| self.cluster.is_up(n))
-                        .collect();
-                    self.begin_split_brain(proto, cut);
-                } else {
-                    self.isolated = nodes.clone();
-                    for n in nodes {
-                        if self.cluster.is_up(n) {
-                            self.node_down(proto, n);
-                        }
-                    }
-                }
-            }
-            FaultKind::Heal => {
-                if self.cfg.faults.split_brain() {
-                    self.heal_split_brain(proto);
-                } else {
-                    let nodes = std::mem::take(&mut self.isolated);
-                    for n in nodes {
-                        if !self.cluster.is_up(n) {
-                            self.node_up_event(proto, n);
-                        }
-                    }
-                }
-            }
+            // Validation guarantees every listed node is up at the cut.
+            FaultKind::Partition(cut) => self.begin_split_brain(proto, cut),
+            FaultKind::Heal => self.heal_split_brain(proto),
             FaultKind::ZoneCrash(zone) => {
                 // Correlated loss: every live zone member halts on this one
                 // virtual-clock tick, in node-id order. A member that was
@@ -532,16 +505,7 @@ impl Engine {
                     .flat_map(|&z| self.cluster.zone_members(z))
                     .filter(|&n| self.cluster.is_up(n))
                     .collect();
-                if self.cfg.faults.split_brain() {
-                    self.begin_split_brain(proto, cut);
-                } else {
-                    self.isolated = cut.clone();
-                    for n in cut {
-                        if self.cluster.live_count() > 1 {
-                            self.node_down(proto, n);
-                        }
-                    }
-                }
+                self.begin_split_brain(proto, cut);
             }
         }
     }

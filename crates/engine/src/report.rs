@@ -96,7 +96,7 @@ pub struct RunReport {
     /// Split-brain windows opened. Like every split-brain field below,
     /// deterministic but excluded from [`RunReport::digest`]: the goldens
     /// predate honest partitions, and the fields are zero unless a plan
-    /// opts into `split_brain`.
+    /// contains a network partition.
     pub partitions_begun: u64,
     /// Split-brain windows healed.
     pub partitions_healed: u64,

@@ -33,19 +33,21 @@
 //! |---|---|
 //! | [`FaultKind::Crash`] | the node halts: its workers stop, in-flight transactions touching it abort, its primaries fail over (or stall when no live replica exists) |
 //! | [`FaultKind::Recover`] | the node restarts with its on-disk state: stalled primaries resume after a restart window; stale secondaries re-join via background snapshot copies |
-//! | [`FaultKind::Partition`] | a network partition isolates a set of nodes. By default the majority side treats them exactly like crashed nodes; with [`FaultPlan::with_split_brain`] **both sides stay live** — per data partition the side holding a strict majority of the replica set owns the durable timeline, the other side's coordinators keep accepting quorum-fenced work, and the [`heal`] coordinator reconciles the divergence at heal |
-//! | [`FaultKind::Heal`] | the network partition heals; isolated nodes re-join like recovered nodes (split-brain plans additionally audit, abort, and retry the divergent timeline's fenced work) |
+//! | [`FaultKind::Partition`] | a network partition cuts a set of nodes off from the rest, and **both sides stay live** — per data partition the side holding a strict majority of the replica set owns the durable timeline, the other side's coordinators keep accepting quorum-fenced work, and the [`heal`] coordinator reconciles the divergence at heal. The crash approximation (the cut side treated as failed) is written as a `crash_at` per cut node at the cut and a `recover_at` per node at the heal |
+//! | [`FaultKind::Heal`] | the network partition heals: the divergent timeline's acked-but-unshipped work is audited, its fenced epochs abort and their clients retry, and its stale replicas are re-copied from the surviving timeline |
 //! | [`FaultKind::ZoneCrash`] | **correlated failure**: every live node of a failure domain halts atomically on one virtual-clock tick (rack power loss) — including a failover target mid-promotion, which is re-planned over the survivors |
 //! | [`FaultKind::ZoneHeal`] | power restored: every down node of the zone restarts |
-//! | [`FaultKind::ZonePartition`] | zone-aware network partition: whole racks are cut off until the matching [`FaultKind::Heal`] |
+//! | [`FaultKind::ZonePartition`] | zone-aware network partition: the live members of whole racks are cut off, with [`FaultKind::Partition`] semantics, until the matching [`FaultKind::Heal`] |
 //!
 //! Validation is two-layered: [`FaultPlan::validate_with_zones`] checks the
 //! script structurally (ids in range, no double-crash, someone always
 //! alive), and [`FaultPlan::validate_against`] additionally rejects plans
 //! whose combined node + zone crashes leave some partition with **zero live
 //! replica holders at the end of the script** — a run that would silently
-//! stall forever fails fast at submission instead. The engine applies the
-//! full check at run start.
+//! stall forever fails fast at submission instead — or whose network cuts
+//! leave some partition without a quorum side
+//! ([`FaultPlanError::NoQuorumSide`]). The engine applies the full check at
+//! run start.
 //!
 //! ## Failover semantics
 //!
@@ -84,11 +86,11 @@ use lion_common::{NodeId, PartitionId};
 /// `Protocol::on_fault`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNotice {
-    /// A node crashed (or became isolated by a network partition). Placement
+    /// A node crashed. Placement
     /// still routes its primaries to it until the corresponding
     /// [`FaultNotice::FailoverComplete`] events fire.
     NodeDown(NodeId),
-    /// A node rejoined the cluster (restart or partition heal).
+    /// A node rejoined the cluster after a restart.
     NodeUp(NodeId),
     /// A partition's primary was promoted onto a surviving replica.
     FailoverComplete {

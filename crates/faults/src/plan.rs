@@ -12,10 +12,14 @@ pub enum FaultKind {
     Crash(NodeId),
     /// The node restarts with its durable state and re-joins.
     Recover(NodeId),
-    /// A network partition isolates the listed nodes from the rest of the
-    /// cluster. The surviving majority side treats them as failed.
+    /// A network partition cuts the listed nodes off from the rest of the
+    /// cluster. Both sides stay live: per data partition, the side holding
+    /// a strict majority of the replica set owns the durable timeline, and
+    /// the other side's work is quorum-fenced until the heal. (The crash
+    /// approximation is written as a [`FaultKind::Crash`] per cut node and
+    /// a [`FaultKind::Recover`] per node at the heal.)
     Partition(Vec<NodeId>),
-    /// The network partition heals; isolated nodes re-join.
+    /// The network partition heals and the divergent timelines reconcile.
     Heal,
     /// Correlated failure: every live node of the zone halts atomically on
     /// one virtual-clock tick (rack power / top-of-rack switch loss). A
@@ -24,9 +28,10 @@ pub enum FaultKind {
     ZoneCrash(ZoneId),
     /// Every down node of the zone restarts (power restored).
     ZoneHeal(ZoneId),
-    /// Zone-aware network partition: the listed zones are cut off from the
-    /// rest of the cluster (aggregation-switch loss); the surviving side
-    /// treats their members as failed until the matching [`FaultKind::Heal`].
+    /// Zone-aware network partition: the live members of the listed zones
+    /// are cut off from the rest of the cluster (aggregation-switch loss)
+    /// with [`FaultKind::Partition`] semantics until the matching
+    /// [`FaultKind::Heal`].
     ZonePartition(Vec<ZoneId>),
 }
 
@@ -48,7 +53,8 @@ pub enum FaultPlanError {
     AlreadyDown(NodeId),
     /// Recover of a node that is up at that point.
     AlreadyUp(NodeId),
-    /// The plan would take down every node in the cluster.
+    /// The plan would take down every node in the cluster, or cut every
+    /// live node off from the rest of it.
     WholeClusterDown(Time),
     /// `Heal` without a preceding un-healed `Partition`.
     HealWithoutPartition(Time),
@@ -67,8 +73,8 @@ pub enum FaultPlanError {
     /// `Recover`/`ZoneHeal`/`Heal`: the run would stall that partition
     /// forever. Caught at validation instead of silently hanging.
     OrphanedForever(PartitionId),
-    /// Split-brain refinement of [`FaultPlanError::OrphanedForever`]: at
-    /// some instant of an open split-brain partition window, *neither* side
+    /// Partition refinement of [`FaultPlanError::OrphanedForever`]: at
+    /// some instant of an open network partition window, *neither* side
     /// of the cut holds a strict majority of this data partition's replica
     /// set among its live nodes. No side could fence the other, both
     /// timelines would claim durability, and the heal reconciliation would
@@ -119,7 +125,7 @@ impl fmt::Display for FaultPlanError {
             FaultPlanError::NoQuorumSide { at, part } => {
                 write!(
                     f,
-                    "split-brain partition at t={at}µs leaves no side with a \
+                    "network partition at t={at}µs leaves no side with a \
                      live majority of {part}'s replica set"
                 )
             }
@@ -137,13 +143,6 @@ impl std::error::Error for FaultPlanError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
-    /// Honest split-brain mode: `Partition`/`ZonePartition` keep **both**
-    /// sides live instead of approximating the isolated side as crashed.
-    /// Minority-side coordinators keep accepting work (their acks fence
-    /// behind the quorum seal), the quorum side promotes, and the matching
-    /// `Heal` runs divergence reconciliation. Off by default — the legacy
-    /// crash-approximation path stays bit-identical.
-    split_brain: bool,
 }
 
 impl FaultPlan {
@@ -194,21 +193,6 @@ impl FaultPlan {
         self.push(at, FaultKind::Partition(nodes))
     }
 
-    /// Opts the plan into honest split-brain semantics: partitions keep
-    /// both sides live (see the field docs on [`FaultPlan`]). Validation
-    /// then additionally requires every data partition to keep one side
-    /// with a live replica-set majority for the whole window
-    /// ([`FaultPlanError::NoQuorumSide`]).
-    pub fn with_split_brain(mut self) -> Self {
-        self.split_brain = true;
-        self
-    }
-
-    /// True when the plan runs partitions in honest split-brain mode.
-    pub fn split_brain(&self) -> bool {
-        self.split_brain
-    }
-
     /// Schedules the heal of the open network partition at `at`.
     pub fn heal_at(self, at: Time) -> Self {
         self.push(at, FaultKind::Heal)
@@ -247,7 +231,8 @@ impl FaultPlan {
 
     /// Checks the plan against a cluster of `n_nodes` nodes in one zone:
     /// ids in range, no double-crash / double-recover, heals paired with
-    /// partitions, and at least one node left alive at every point. Plans
+    /// partitions, at least one node left alive at every point, and every
+    /// cut leaving a live node on the other side. Plans
     /// with zone events need [`FaultPlan::validate_with_zones`].
     pub fn validate(&self, n_nodes: usize) -> Result<(), FaultPlanError> {
         let zone_of = vec![ZoneId(0); n_nodes];
@@ -257,10 +242,10 @@ impl FaultPlan {
     /// [`FaultPlan::validate`] with a node→zone map, so zone events resolve
     /// to their member sets. Returns the final down-set for the orphan check.
     ///
-    /// In split-brain mode isolated nodes are *not* marked down (both sides
-    /// stay live); when `placement` is given, every instant of an open
-    /// split-brain window must leave each data partition one side holding a
-    /// live strict majority of its replica set.
+    /// Cut nodes are *not* marked down (both sides stay live); when
+    /// `placement` is given, every instant of an open partition window must
+    /// leave each data partition one side holding a live strict majority of
+    /// its replica set.
     fn simulate(
         &self,
         n_nodes: usize,
@@ -270,9 +255,9 @@ impl FaultPlan {
         debug_assert_eq!(zone_of.len(), n_nodes);
         let mut down = vec![false; n_nodes];
         let mut isolated: Option<Vec<NodeId>> = None;
-        // Split-brain quorum rule: with the cut `iso` open, every data
-        // partition needs one side whose live holders form a strict
-        // majority of the *full* replica set.
+        // Quorum rule: with the cut `iso` open, every data partition needs
+        // one side whose live holders form a strict majority of the *full*
+        // replica set.
         let quorum_check =
             |at: Time, down: &[bool], iso: &[NodeId]| -> Result<(), FaultPlanError> {
                 let Some(pl) = placement else { return Ok(()) };
@@ -292,6 +277,14 @@ impl FaultPlan {
                 }
                 Ok(())
             };
+        // A cut needs a live node on each side, and a quorum side per data
+        // partition.
+        let cut_check = |at: Time, down: &[bool], cut: &[NodeId]| {
+            if (0..n_nodes).all(|i| down[i] || cut.contains(&NodeId(i as u16))) {
+                return Err(FaultPlanError::WholeClusterDown(at));
+            }
+            quorum_check(at, down, cut)
+        };
         let check = |n: NodeId| {
             if n.idx() >= n_nodes {
                 Err(FaultPlanError::UnknownNode(n))
@@ -315,10 +308,8 @@ impl FaultPlan {
                         return Err(FaultPlanError::AlreadyDown(*n));
                     }
                     down[n.idx()] = true;
-                    if self.split_brain {
-                        if let Some(iso) = &isolated {
-                            quorum_check(ev.at, &down, iso)?;
-                        }
+                    if let Some(iso) = &isolated {
+                        quorum_check(ev.at, &down, iso)?;
                     }
                 }
                 FaultKind::Recover(n) => {
@@ -340,25 +331,15 @@ impl FaultPlan {
                         if down[n.idx()] {
                             return Err(FaultPlanError::AlreadyDown(*n));
                         }
-                        if !self.split_brain {
-                            down[n.idx()] = true;
-                        }
                     }
-                    if self.split_brain {
-                        quorum_check(ev.at, &down, nodes)?;
-                    }
+                    cut_check(ev.at, &down, nodes)?;
                     isolated = Some(nodes.clone());
                 }
-                FaultKind::Heal => match isolated.take() {
-                    Some(nodes) => {
-                        if !self.split_brain {
-                            for n in nodes {
-                                down[n.idx()] = false;
-                            }
-                        }
+                FaultKind::Heal => {
+                    if isolated.take().is_none() {
+                        return Err(FaultPlanError::HealWithoutPartition(ev.at));
                     }
-                    None => return Err(FaultPlanError::HealWithoutPartition(ev.at)),
-                },
+                }
                 FaultKind::ZoneCrash(z) => {
                     let m = members(*z)?;
                     if m.iter().all(|&i| down[i]) {
@@ -367,10 +348,8 @@ impl FaultPlan {
                     for i in m {
                         down[i] = true;
                     }
-                    if self.split_brain {
-                        if let Some(iso) = &isolated {
-                            quorum_check(ev.at, &down, iso)?;
-                        }
+                    if let Some(iso) = &isolated {
+                        quorum_check(ev.at, &down, iso)?;
                     }
                 }
                 FaultKind::ZoneHeal(z) => {
@@ -393,9 +372,6 @@ impl FaultPlan {
                     for z in zones {
                         for i in members(*z)? {
                             if !down[i] {
-                                if !self.split_brain {
-                                    down[i] = true;
-                                }
                                 cut.push(NodeId(i as u16));
                             }
                         }
@@ -403,9 +379,7 @@ impl FaultPlan {
                     if cut.is_empty() {
                         return Err(FaultPlanError::EmptyPartition(ev.at));
                     }
-                    if self.split_brain {
-                        quorum_check(ev.at, &down, &cut)?;
-                    }
+                    cut_check(ev.at, &down, &cut)?;
                     isolated = Some(cut);
                 }
             }
@@ -635,34 +609,33 @@ mod tests {
     }
 
     #[test]
-    fn split_brain_keeps_both_sides_structurally_live() {
-        // Isolating one of two nodes would be WholeClusterDown-adjacent in
-        // the crash approximation; in split-brain mode both sides stay up.
+    fn partition_keeps_both_sides_structurally_live() {
+        // The cut node stays up: crashing the other side inside the window
+        // would still leave n1 alive, and n1 may crash on its own side.
+        let p = FaultPlan::new().partition_at(1, vec![n(1)]).heal_at(9);
+        assert!(p.validate(2).is_ok());
         let p = FaultPlan::new()
             .partition_at(1, vec![n(1)])
+            .crash_at(2, n(1))
             .heal_at(9)
-            .with_split_brain();
-        assert!(p.split_brain());
+            .recover_at(10, n(1));
         assert!(p.validate(2).is_ok());
-        // The crash approximation of the same plan kills n1 for the window.
-        let legacy = FaultPlan::new().partition_at(1, vec![n(1)]).heal_at(9);
-        assert!(!legacy.split_brain());
-        assert!(legacy.validate(2).is_ok());
-        // Pairing rules are unchanged in split-brain mode.
-        let p = FaultPlan::new().heal_at(5).with_split_brain();
-        assert_eq!(p.validate(2), Err(FaultPlanError::HealWithoutPartition(5)));
+        // A cut holding every live node has no other side.
+        let p = FaultPlan::new()
+            .crash_at(1, n(0))
+            .partition_at(2, vec![n(1)]);
+        assert_eq!(p.validate(2), Err(FaultPlanError::WholeClusterDown(2)));
     }
 
     #[test]
-    fn split_brain_rejects_plans_with_no_quorum_side() {
+    fn partition_rejects_plans_with_no_quorum_side() {
         // rf=2: P0 lives on {N0, N1}; cutting N1 off splits its replica set
         // 1/1 — neither side holds a strict majority.
         let pl = Placement::round_robin(4, 4, 2);
         let zones = two_zone_map();
         let p = FaultPlan::new()
             .partition_at(1_000, vec![n(1)])
-            .heal_at(9_000)
-            .with_split_brain();
+            .heal_at(9_000);
         assert_eq!(
             p.validate_against(&pl, &zones),
             Err(FaultPlanError::NoQuorumSide {
@@ -673,16 +646,14 @@ mod tests {
         // The same cut with rf=3 leaves every partition a 2/1 split: ok.
         let pl3 = Placement::round_robin(4, 4, 3);
         assert!(p.validate_against(&pl3, &zones).is_ok());
-        // Without split_brain the quorum rule does not apply (the isolated
-        // side is approximated as crashed, and the heal restores it).
-        let legacy = FaultPlan::new()
-            .partition_at(1_000, vec![n(1)])
-            .heal_at(9_000);
-        assert!(legacy.validate_against(&pl, &zones).is_ok());
+        // The crash approximation of the cut is a node outage, which the
+        // quorum rule does not govern.
+        let crashed = FaultPlan::single_failure(1_000, n(1), 9_000);
+        assert!(crashed.validate_against(&pl, &zones).is_ok());
     }
 
     #[test]
-    fn split_brain_quorum_holds_for_the_entire_window() {
+    fn partition_quorum_holds_for_the_entire_window() {
         // rf=3 on 4 nodes, cut {N3}: at the partition P2 = {N2, N3, N0}
         // splits 2/1 toward the majority. Crashing N0 *inside* the window
         // drops the majority side to 1 live holder of 3 — rejected at the
@@ -692,8 +663,7 @@ mod tests {
         let p = FaultPlan::new()
             .partition_at(1_000, vec![n(3)])
             .crash_at(2_000, n(0))
-            .heal_at(9_000)
-            .with_split_brain();
+            .heal_at(9_000);
         assert_eq!(
             p.validate_against(&pl3, &zones),
             Err(FaultPlanError::NoQuorumSide {
@@ -705,15 +675,13 @@ mod tests {
         let p = FaultPlan::new()
             .partition_at(1_000, vec![n(3)])
             .heal_at(9_000)
-            .crash_at(10_000, n(0))
-            .with_split_brain();
+            .crash_at(10_000, n(0));
         assert!(p.validate_against(&pl3, &zones).is_ok());
-        // Zone cut in split-brain mode: Z1 = {N2, N3} keeps a 2/1 or 1/2
+        // Zone cut: Z1 = {N2, N3} keeps a 2/1 or 1/2
         // majority on every rf=3 partition.
         let p = FaultPlan::new()
             .partition_zones_at(1_000, vec![z(1)])
-            .heal_at(9_000)
-            .with_split_brain();
+            .heal_at(9_000);
         assert!(p.validate_against(&pl3, &zones).is_ok());
     }
 }

@@ -237,15 +237,14 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
 /// with both sides kept live, and the heal applies the shadow promotions,
 /// aborts the divergent minority epochs, and retries their clients. The
 /// park/fence/heal machinery must be a pure function of the seed, and the
-/// six goldens above — which never opt into `split_brain` — must not move.
+/// six goldens above — none of which contains a partition — must not move.
 const SPLIT_BRAIN_GOLDEN: u64 = 0xce14a2f81c5d4bbc;
 
 fn run_split_brain_scenario() -> RunReport {
     run_cut_scenario(
         FaultPlan::new()
             .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
-            .heal_at(SECOND / 2)
-            .with_split_brain(),
+            .heal_at(SECOND / 2),
     )
 }
 
@@ -310,8 +309,10 @@ const CRASH_APPROX_GOLDEN: u64 = 0x862ce91afe6abb1d;
 fn run_crash_approx_scenario() -> RunReport {
     run_cut_scenario(
         FaultPlan::new()
-            .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
-            .heal_at(SECOND / 2),
+            .crash_at(SECOND / 4, NodeId(2))
+            .crash_at(SECOND / 4, NodeId(3))
+            .recover_at(SECOND / 2, NodeId(2))
+            .recover_at(SECOND / 2, NodeId(3)),
     )
 }
 

@@ -237,8 +237,7 @@ fn crash_during_split_window_on_each_side() {
             .partition_at(SECOND, (5..10).map(NodeId).collect())
             .crash_at(SECOND + 300_000, NodeId(2))
             .crash_at(SECOND + 500_000, NodeId(7))
-            .heal_at(2 * SECOND)
-            .with_split_brain(),
+            .heal_at(2 * SECOND),
         durability: DurabilityConfig::epoch(5_000).with_retry_round_trip(),
         ..Default::default()
     };
@@ -288,8 +287,7 @@ fn crash_during_split_window_on_each_side() {
 fn heal_races_inflight_split_promotion() {
     let plan = FaultPlan::new()
         .partition_at(SECOND, vec![NodeId(2), NodeId(3)])
-        .heal_at(SECOND + 20_000)
-        .with_split_brain();
+        .heal_at(SECOND + 20_000);
     let (eng, report) = run_split_brain(plan, 3 * SECOND);
 
     assert_eq!(report.partitions_begun, 1);
@@ -319,8 +317,7 @@ fn back_to_back_partition_heal_partition() {
         .partition_at(SECOND, cut.clone())
         .heal_at(SECOND + 20_000)
         .partition_at(SECOND + 40_000, cut)
-        .heal_at(2 * SECOND)
-        .with_split_brain();
+        .heal_at(2 * SECOND);
     let (eng, report) = run_split_brain(plan, 3 * SECOND);
 
     assert_eq!(report.partitions_begun, 2);
@@ -342,14 +339,15 @@ fn back_to_back_partition_heal_partition() {
     eng.cluster.check_invariants().unwrap();
 }
 
+/// The crash approximation of a network partition: the cut node crashes
+/// at the cut and recovers at the heal, so the majority side fails its
+/// primaries over and the heal rejoins it like any recovered node.
 #[test]
 fn network_partition_heals_like_recovery() {
     let cfg = EngineConfig {
         sim: sim(),
         plan_interval_us: 500_000,
-        faults: FaultPlan::new()
-            .partition_at(SECOND, vec![NodeId(3)])
-            .heal_at(3 * SECOND),
+        faults: FaultPlan::single_failure(SECOND, NodeId(3), 3 * SECOND),
         ..Default::default()
     };
     let workload = Box::new(YcsbWorkload::new(

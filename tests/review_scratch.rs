@@ -27,8 +27,7 @@ fn heal_restores_replication_factor() {
     ));
     let faults = FaultPlan::new()
         .partition_at(SECOND / 10, vec![NodeId(2), NodeId(3)])
-        .heal_at(SECOND / 4)
-        .with_split_brain();
+        .heal_at(SECOND / 4);
     let cfg = EngineConfig {
         sim,
         durability: DurabilityConfig::epoch(1_000),

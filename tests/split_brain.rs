@@ -3,18 +3,19 @@
 //!
 //! The contract under test (ISSUE 7 acceptance):
 //!
-//! * **quorum fencing** (`split_brain` fault plans + epoch group commit):
+//! * **quorum fencing** (partition fault plans + epoch group commit):
 //!   minority-side coordinators keep committing through the cut, but their
 //!   epochs never seal — every fenced ack parks until heal, where the
 //!   reconciliation pass aborts the divergent epochs and retries their
 //!   clients. `acked_then_lost == 0` across seeds × partition timing × heal
 //!   timing × protocols: no minority ack is ever silently dropped.
-//! * **optimistic minority acks** (`split_brain` + ack-at-commit) release
+//! * **optimistic minority acks** (partition + ack-at-commit) release
 //!   acks the replication stream can never certify; the heal audit counts
 //!   them as lost. The hole the fence closes is real, not hypothetical.
 //! * the window the minority side stays live is the availability win: the
-//!   split-brain arm's unavailability can only be at or below the legacy
-//!   crash approximation's, which kills the isolated side outright.
+//!   split-brain arm's unavailability can only be at or below the crash
+//!   approximation's (the cut nodes crash at the cut and recover at the
+//!   heal), which kills the isolated side outright.
 
 use lion::baselines::two_pc;
 use lion::common::{FastMap, NodeId, SimConfig, SECOND};
@@ -70,7 +71,6 @@ fn split_plan(cut_at: u64, heal_at: u64) -> FaultPlan {
     FaultPlan::new()
         .partition_at(cut_at, vec![NodeId(2), NodeId(3)])
         .heal_at(heal_at)
-        .with_split_brain()
 }
 
 struct Run {
@@ -142,27 +142,29 @@ fn minority_side_stays_live_and_fenced() {
         );
         assert!(r.commits > 1_000, "{name}: commits {}", r.commits);
 
-        // The availability claim: the legacy crash approximation kills the
-        // isolated side for the whole window; honest split-brain keeps it
-        // serving, so its unavailability can only be at or below legacy's.
-        let legacy = run_split(
+        // The availability claim: the crash approximation kills the cut
+        // side for the whole window; honest split-brain keeps it serving,
+        // so its unavailability can only be at or below the crash's.
+        let crashed = run_split(
             which,
             11,
             FaultPlan::new()
-                .partition_at(SECOND / 5, vec![NodeId(2), NodeId(3)])
-                .heal_at(2 * SECOND / 5),
+                .crash_at(SECOND / 5, NodeId(2))
+                .crash_at(SECOND / 5, NodeId(3))
+                .recover_at(2 * SECOND / 5, NodeId(2))
+                .recover_at(2 * SECOND / 5, NodeId(3)),
             DurabilityConfig::epoch(5_000).with_retry_round_trip(),
         );
         assert!(
-            r.unavailability_us <= legacy.report.unavailability_us,
+            r.unavailability_us <= crashed.report.unavailability_us,
             "{name}: split-brain unavailability {}us exceeds the crash \
              approximation's {}us",
             r.unavailability_us,
-            legacy.report.unavailability_us
+            crashed.report.unavailability_us
         );
         assert_eq!(
-            legacy.report.minority_commits, 0,
-            "{name}: the legacy path has no live minority to commit"
+            crashed.report.minority_commits, 0,
+            "{name}: the crash approximation has no live minority to commit"
         );
     }
 }

@@ -146,16 +146,19 @@ fn zone_loss_runs_are_deterministic() {
     }
 }
 
-/// Zone-aware network partition: cutting off a rack behaves like crashing
-/// it (the survivors treat its members as failed) until the heal.
+/// The crash approximation of a zone partition: each rack member crashes at
+/// the cut and recovers at the heal, one node at a time rather than as a
+/// correlated `ZoneCrash`.
 #[test]
 fn zone_partition_isolates_and_heals_like_a_rack_loss() {
     let cfg = EngineConfig {
         sim: sim(PlacementPolicy::RackSafe { min_zones: 2 }),
         plan_interval_us: 500_000,
         faults: FaultPlan::new()
-            .partition_zones_at(CRASH_AT, vec![DEAD_ZONE])
-            .heal_at(HEAL_AT),
+            .crash_at(CRASH_AT, NodeId(2))
+            .crash_at(CRASH_AT, NodeId(3))
+            .recover_at(HEAL_AT, NodeId(2))
+            .recover_at(HEAL_AT, NodeId(3)),
         ..Default::default()
     };
     let workload = Box::new(YcsbWorkload::new(
