@@ -942,10 +942,10 @@ impl Engine {
     /// primary is about to swap (prepare-locks must release against the
     /// placement that granted them), (2) adopt the quorum timeline by
     /// applying the recorded shadow promotions, (3) audit every stale
-    /// replica's log for acked-then-lost work, then discard it and re-add
-    /// the replica via a background snapshot copy, (4) close promotion
-    /// windows the mid-window hand-off never closed, (5) abort the fenced
-    /// epochs and retry their parked clients, (6) end the window and
+    /// replica's log for acked-then-lost work, then discard it, (4) close
+    /// promotion windows the mid-window hand-off never closed, (5) abort the
+    /// fenced epochs and retry their parked clients, (6) end the window,
+    /// re-add each discarded replica via a background snapshot copy, and
     /// release every remaining parked waiter.
     fn heal_split_brain(&mut self, proto: &mut dyn Protocol) {
         if !self.cluster.split_active() {
@@ -1005,6 +1005,7 @@ impl Engine {
                 );
             }
         }
+        let mut readds: Vec<(PartitionId, NodeId)> = Vec::new();
         for step in &steps {
             for &n in &step.stale {
                 if let Some(store) = self.cluster.store(n, step.part) {
@@ -1016,7 +1017,7 @@ impl Engine {
                     self.emit(MetricEvent::AckedThenLost { at: now, n: lost });
                 }
                 self.cluster.drop_stale_secondary(step.part, n);
-                let _ = self.add_replica_async(step.part, n, false);
+                readds.push((step.part, n));
             }
         }
         for part in std::mem::take(&mut self.split_unavail_open) {
@@ -1039,6 +1040,12 @@ impl Engine {
             }
         }
         self.cluster.end_split();
+        // Re-copies run only once the cut is gone: `begin_add_replica`
+        // refuses a snapshot copy across an active cut. A node that crashed
+        // inside the window is refused here too; its Recover rejoins it.
+        for (part, n) in readds {
+            let _ = self.add_replica_async(part, n, false);
+        }
         self.resume_reachable_waiters();
         debug_assert!(self.heal_waiters.is_empty(), "waiters survived the heal");
     }

@@ -238,7 +238,13 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
 /// aborts the divergent minority epochs, and retries their clients. The
 /// park/fence/heal machinery must be a pure function of the seed, and the
 /// six goldens above — none of which contains a partition — must not move.
-const SPLIT_BRAIN_GOLDEN: u64 = 0xce14a2f81c5d4bbc;
+///
+/// Re-pinned once, deliberately: the heal used to re-add the dropped stale
+/// secondaries while the cut was still active, so every re-copy was
+/// refused and the partitions stayed below their replication factor. The
+/// re-copies now start after the cut ends and add their migration bytes
+/// (was `0xce14a2f81c5d4bbc`).
+const SPLIT_BRAIN_GOLDEN: u64 = 0x41501d8d069e5bd4;
 
 fn run_split_brain_scenario() -> RunReport {
     run_cut_scenario(

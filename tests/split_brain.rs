@@ -18,7 +18,7 @@
 //!   heal), which kills the isolated side outright.
 
 use lion::baselines::two_pc;
-use lion::common::{FastMap, NodeId, SimConfig, SECOND};
+use lion::common::{FastMap, NodeId, PartitionId, SimConfig, SECOND};
 use lion::core::Lion;
 use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport};
 use lion::faults::FaultPlan;
@@ -190,6 +190,53 @@ fn optimistic_minority_acks_leak_at_heal() {
         assert!(
             run.report.acked_then_lost > 0,
             "{name}: optimistic minority acks must show up as lost at heal"
+        );
+    }
+}
+
+/// The heal drops every stale replica of the losing timeline and re-copies
+/// it from the surviving one, so once those background copies land every
+/// data partition is back at its replication factor.
+#[test]
+fn heal_restores_replication_factor() {
+    let sim = SimConfig {
+        nodes: 4,
+        partitions_per_node: 4,
+        keys_per_partition: 1_000,
+        value_size: 32,
+        clients_per_node: 8,
+        batch_size: 64,
+        replication_factor: 3,
+        max_replicas: 4,
+        seed: 7,
+        ..Default::default()
+    };
+    let workload = Box::new(YcsbWorkload::new(
+        YcsbConfig::for_cluster(4, 4, 1_000)
+            .with_mix(0.5, 0.3)
+            .with_seed(7),
+    ));
+    let faults = FaultPlan::new()
+        .partition_at(SECOND / 10, vec![NodeId(2), NodeId(3)])
+        .heal_at(SECOND / 4);
+    let cfg = EngineConfig {
+        sim,
+        durability: DurabilityConfig::epoch(1_000),
+        faults,
+        ..Default::default()
+    };
+    let mut eng = Engine::new(cfg, workload);
+    let mut proto = Lion::standard();
+    // Run well past the heal so background copies have time to finish.
+    let _report = eng.run(&mut proto, 3 * SECOND / 5);
+    let n_parts = eng.cluster.n_partitions();
+    for p in 0..n_parts {
+        let part = PartitionId(p as u32);
+        let holders = eng.cluster.placement.replica_nodes(part);
+        assert_eq!(
+            holders.len(),
+            3,
+            "{part}: replication factor not restored after heal (holders: {holders:?})"
         );
     }
 }
