@@ -39,6 +39,11 @@ impl Protocol for Lotus {
         true
     }
 
+    /// Predates the split-brain side model: no side anchoring, no fence.
+    fn supports_split_brain(&self) -> bool {
+        false
+    }
+
     fn on_submit(&mut self, _: &mut Engine, _: TxnId) {}
 
     fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {

@@ -358,6 +358,17 @@ impl Engine {
                 .faults
                 .validate_against(&self.cluster.placement, &self.cluster.zone_of)
                 .expect("invalid fault plan");
+            let partitions = self.cfg.faults.events().iter().any(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::Partition(_) | FaultKind::ZonePartition(_)
+                )
+            });
+            assert!(
+                !partitions || proto.supports_split_brain(),
+                "invalid fault plan: {} does not support network partitions",
+                proto.name()
+            );
             for (i, ev) in self.cfg.faults.events().iter().enumerate() {
                 self.queue.schedule_at(ev.at, Ev::Fault(i));
             }

@@ -32,6 +32,14 @@ pub trait Protocol {
         false
     }
 
+    /// True when the protocol keeps both sides of a network partition
+    /// correct: it anchors transactions to their home side and honours the
+    /// quorum fence. The engine rejects a fault plan containing a
+    /// `Partition` or `ZonePartition` for a protocol that returns false.
+    fn supports_split_brain(&self) -> bool {
+        true
+    }
+
     /// A new transaction was submitted (standard mode) or resubmitted after
     /// an abort.
     fn on_submit(&mut self, eng: &mut Engine, txn: TxnId);

@@ -241,6 +241,20 @@ fn heal_restores_replication_factor() {
     }
 }
 
+/// Hermes, like Aria and Lotus, has no side model: a partition plan under it
+/// would run silently wrong, so the engine refuses it at run start.
+#[test]
+#[should_panic(expected = "Hermes does not support network partitions")]
+fn partition_plan_rejected_for_protocol_without_side_model() {
+    let cfg = EngineConfig {
+        sim: sim(11),
+        faults: split_plan(SECOND / 5, 2 * SECOND / 5),
+        ..EngineConfig::default()
+    };
+    let mut eng = Engine::new(cfg, workload(11));
+    eng.run(&mut lion::baselines::Hermes::new(), HORIZON);
+}
+
 /// Closed-loop protocols: the ack stream one client observes never
 /// reorders, cut or no cut (heal-time retries re-enter the epoch pipeline
 /// behind the surviving timeline, never ahead of it).
