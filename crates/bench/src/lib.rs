@@ -2,9 +2,8 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of the
 //! paper's evaluation (§VI). `src/figures.rs` holds one experiment per
-//! table/figure; the `lion-bench` binary dispatches them; the Criterion
-//! benches under `benches/` micro-benchmark the planner, predictor, storage,
-//! and protocol hot paths.
+//! table/figure; the `lion-bench` binary dispatches them. The simulator's
+//! host-speed benchmark lives in `perfbench/` at the repository root.
 //!
 //! Absolute throughputs differ from the paper (the substrate is a calibrated
 //! simulator, not the authors' 10-node testbed); the *shapes* — who wins, by
@@ -15,7 +14,6 @@ pub mod export;
 pub mod figures;
 pub mod harness;
 pub mod obsgate;
-pub mod perf;
 
 pub use harness::{
     base_sim, run_all, run_job, run_job_with_obs, Job, ProtoKind, Scale, WorkloadSpec,

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! lion-bench [table1|table2|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13a|fig13b|fig14|figf1|figf2|fige|all] [--full] [--export=runs.jsonl]
-//! lion-bench perf [--quick] [--check]
 //! lion-bench obsgate
 //! ```
 //!
@@ -26,12 +25,6 @@
 //!
 //! `--full` lengthens the runs (5 s steady-state, 15 s hotspot periods);
 //! the default quick scale finishes the whole suite in a few minutes.
-//!
-//! `perf` is the self-measuring wall-clock performance harness: it runs a
-//! fixed-seed YCSB + TPC-C + crash/recovery matrix, reports engine
-//! events/sec and commits/sec of *host* time, and maintains
-//! `BENCH_perf.json` at the repo root (`--check` compares against the
-//! committed numbers instead of writing, for CI).
 //!
 //! `obsgate` is the observability-overhead gate: the same job under
 //! `ObsMode::Null` and `ObsMode::Full`, failing CI if the full metrics
@@ -72,18 +65,6 @@ fn main() {
         }
     }
 
-    if which == "perf" {
-        let quick = args.iter().any(|a| a == "--quick");
-        let check = args.iter().any(|a| a == "--check");
-        let repeat = args
-            .iter()
-            .position(|a| a == "--repeat")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        std::process::exit(lion_bench::perf::perf(quick, check, repeat));
-    }
-
     let out = match which.as_str() {
         "table1" => figures::table1(),
         "table2" => figures::table2(),
@@ -105,7 +86,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: lion-bench [table1|table2|fig6..fig14|figf1|figf2|fige|figsb|all|perf|obsgate] [--full] [--export=runs.jsonl]"
+                "usage: lion-bench [table1|table2|fig6..fig14|figf1|figf2|fige|figsb|all|obsgate] [--full] [--export=runs.jsonl]"
             );
             std::process::exit(2);
         }

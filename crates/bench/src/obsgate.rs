@@ -5,9 +5,8 @@
 //! gate runs one fixed YCSB job under [`ObsMode::Null`](lion_engine::ObsMode)
 //! (events constructed and discarded at the hub) and `ObsMode::Full` (run
 //! metrics + dimensioned rollups), takes the best of several repeats of
-//! each (best-of-N discards scheduler noise, the same trick `perf --check`
-//! uses), and fails if full observability costs more than the tolerance in
-//! events-per-wall-second.
+//! each (best-of-N discards scheduler noise), and fails if full
+//! observability costs more than the tolerance in events-per-wall-second.
 //!
 //! Tolerance defaults to 3% and can be widened on noisy shared runners via
 //! the `OBS_GATE_TOLERANCE` env var (e.g. `OBS_GATE_TOLERANCE=0.10`).

@@ -316,7 +316,7 @@ impl Engine {
 
     /// Total events popped from the future-event list so far. One event is
     /// the engine's unit of hot-path work, which makes wall-clock
-    /// events/second the primary metric of `lion-bench perf`.
+    /// events/second a host-speed metric of the `perfbench` benchmark.
     pub fn events(&self) -> u64 {
         self.events
     }
