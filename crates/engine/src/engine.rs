@@ -1,6 +1,5 @@
 //! The discrete-event transaction engine.
 
-use crate::metrics::{FailoverRecord, Metrics};
 use crate::protocol::{Protocol, TickKind};
 use crate::report::RunReport;
 use crate::slab::TxnSlab;
@@ -14,6 +13,7 @@ use lion_durability::{DurabilityConfig, EpochManager, PendingAck};
 use lion_faults::{
     plan_failover, plan_heal, plan_split_promotions, FaultKind, FaultNotice, FaultPlan, SplitAction,
 };
+use lion_obs::run::{FailoverRecord, Metrics};
 use lion_obs::{ByteClass, CommitClass, MetricEvent, ObsHub, ObsMode};
 use lion_sim::CalendarQueue;
 use lion_storage::{LogEntry, OpOutcome, Table};

@@ -19,7 +19,6 @@
 //! the engine wakes them with `(txn, tag)` continuations.
 
 pub mod engine;
-pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod slab;
@@ -28,10 +27,10 @@ pub mod txn;
 pub use engine::{Engine, EngineConfig, OpFail};
 pub use lion_durability::{AckRecord, DurabilityConfig, DurableEpoch, EpochManager, PendingAck};
 pub use lion_faults::{FaultEvent, FaultKind, FaultNotice, FaultPlan};
+pub use lion_obs::run::{FailoverRecord, Metrics, UnavailWindow};
 pub use lion_obs::{
     ByteClass, CommitClass, DimRollup, MetricEvent, MetricSink, NullSink, ObsHub, ObsMode,
 };
-pub use metrics::{FailoverRecord, Metrics, UnavailWindow};
 pub use protocol::{Protocol, TickKind};
 pub use report::RunReport;
 pub use slab::TxnSlab;
