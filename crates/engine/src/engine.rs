@@ -1052,8 +1052,8 @@ impl Engine {
         }
         self.cluster.end_split();
         // Re-copies run only once the cut is gone: `begin_add_replica`
-        // refuses a snapshot copy across an active cut. A node that crashed
-        // inside the window is refused here too; its Recover rejoins it.
+        // refuses a snapshot copy across an active cut. A copy refused for
+        // another reason (a node down at the heal) is not retried yet.
         for (part, n) in readds {
             let _ = self.add_replica_async(part, n, false);
         }

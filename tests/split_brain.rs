@@ -199,33 +199,13 @@ fn optimistic_minority_acks_leak_at_heal() {
 /// data partition is back at its replication factor.
 #[test]
 fn heal_restores_replication_factor() {
-    let sim = SimConfig {
-        nodes: 4,
-        partitions_per_node: 4,
-        keys_per_partition: 1_000,
-        value_size: 32,
-        clients_per_node: 8,
-        batch_size: 64,
-        replication_factor: 3,
-        max_replicas: 4,
-        seed: 7,
-        ..Default::default()
-    };
-    let workload = Box::new(YcsbWorkload::new(
-        YcsbConfig::for_cluster(4, 4, 1_000)
-            .with_mix(0.5, 0.3)
-            .with_seed(7),
-    ));
-    let faults = FaultPlan::new()
-        .partition_at(SECOND / 10, vec![NodeId(2), NodeId(3)])
-        .heal_at(SECOND / 4);
     let cfg = EngineConfig {
-        sim,
+        sim: sim(7),
         durability: DurabilityConfig::epoch(1_000),
-        faults,
+        faults: split_plan(SECOND / 10, SECOND / 4),
         ..Default::default()
     };
-    let mut eng = Engine::new(cfg, workload);
+    let mut eng = Engine::new(cfg, workload(7));
     let mut proto = Lion::standard();
     // Run well past the heal so background copies have time to finish.
     let _report = eng.run(&mut proto, 3 * SECOND / 5);
