@@ -15,6 +15,9 @@ pub const LAG_SYNC_US_PER_ENTRY: Time = 1;
 pub enum AdaptorError {
     /// Another remaster/migration is already in flight for the partition.
     Busy(PartitionId),
+    /// The partition's primary or the target node is down, or an active
+    /// cut separates them. Clears once the node recovers or the cut heals.
+    Unreachable { part: PartitionId, node: NodeId },
     /// The target node holds no replica of the partition.
     NoReplica { part: PartitionId, node: NodeId },
     /// The target node already is the primary.
@@ -27,6 +30,9 @@ impl fmt::Display for AdaptorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdaptorError::Busy(p) => write!(f, "{p} already has a replica operation in flight"),
+            AdaptorError::Unreachable { part, node } => {
+                write!(f, "{node} cannot reach the primary of {part}")
+            }
             AdaptorError::NoReplica { part, node } => {
                 write!(f, "{node} holds no replica of {part}")
             }
@@ -300,6 +306,19 @@ impl Cluster {
         self.parts[part.idx()].blocked_until
     }
 
+    /// The primary of `part`, when it and `to` are both up and on the same
+    /// side of any active cut. Every transfer (remaster hand-off, snapshot
+    /// copy, migration) runs between these two nodes, so it cannot start
+    /// toward or from a dead node, nor across a cut.
+    fn transfer_source(&self, part: PartitionId, to: NodeId) -> Result<NodeId, AdaptorError> {
+        let primary = self.placement.primary_of(part);
+        if self.node_up[primary.idx()] && self.node_up[to.idx()] && self.same_side(primary, to) {
+            Ok(primary)
+        } else {
+            Err(AdaptorError::Unreachable { part, node: to })
+        }
+    }
+
     // ------------------------------------------------------------------
     // Adaptor: remastering (§III)
     // ------------------------------------------------------------------
@@ -323,15 +342,7 @@ impl Cluster {
         if rt.transfer_in_flight() || rt.failure_in_flight() {
             return Err(AdaptorError::Busy(part));
         }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A mastership hand-off cannot cross an active cut: the two nodes
-        // cannot exchange the hand-off protocol.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
+        let primary = self.transfer_source(part, to)?;
         let head = self
             .store(primary, part)
             .expect("primary store")
@@ -406,14 +417,7 @@ impl Cluster {
         if self.placement.has_replica(part, to) || self.parts[part.idx()].copying_to.contains(&to) {
             return Err(AdaptorError::AlreadyHosted { part, node: to });
         }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A snapshot copy cannot cross an active cut either.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
+        let primary = self.transfer_source(part, to)?;
         let bytes = self
             .store(primary, part)
             .expect("primary store")
@@ -550,14 +554,7 @@ impl Cluster {
         {
             return Err(AdaptorError::Busy(part));
         }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A blocking migration cannot cross an active cut either.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
+        let primary = self.transfer_source(part, to)?;
         let bytes = self
             .store(primary, part)
             .expect("primary store")
@@ -1433,17 +1430,26 @@ mod tests {
         // remaster away from a dead primary (failover's job, not the adaptor's)
         assert_eq!(
             c.begin_remaster(p(2), n(0), 0),
-            Err(AdaptorError::Busy(p(2)))
+            Err(AdaptorError::Unreachable {
+                part: p(2),
+                node: n(0)
+            })
         );
         // migration toward a dead node
         assert_eq!(
             c.begin_migration(p(1), n(2), 0),
-            Err(AdaptorError::Busy(p(1)))
+            Err(AdaptorError::Unreachable {
+                part: p(1),
+                node: n(2)
+            })
         );
         // replica copy toward a dead node
         assert_eq!(
             c.begin_add_replica(p(0), n(2), 0),
-            Err(AdaptorError::Busy(p(0)))
+            Err(AdaptorError::Unreachable {
+                part: p(0),
+                node: n(2)
+            })
         );
     }
 

@@ -92,6 +92,9 @@ impl Lion {
         self.plans_applied += 1;
 
         // --- Asynchronous adjustment (§III) -------------------------------
+        // Placement moves are advisory: a refused one is dropped, and the
+        // next round re-plans from the placement it then sees. Only the
+        // repair copy is owed until it starts (`Engine::repair_replica`).
         for e in &plan.entries {
             match e.action {
                 PlanAction::Remaster => {
@@ -106,7 +109,7 @@ impl Lion {
                 PlanAction::AddSecondary => {
                     // Anti-affinity repair: a background copy only — the
                     // primary stays put, the new replica restores coverage.
-                    let _ = eng.add_replica_async(e.part, e.dest, false);
+                    eng.repair_replica(e.part, e.dest);
                 }
             }
         }

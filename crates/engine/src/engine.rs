@@ -198,6 +198,9 @@ pub struct Engine {
     /// Partitions whose unavailability window opened at split begin pending
     /// a quorum-side promotion; any still open at heal close there.
     split_unavail_open: Vec<PartitionId>,
+    /// Replica copies [`Engine::repair_replica`] could not start because a
+    /// node was down or cut off; retried on every replication flush tick.
+    owed_copies: Vec<(PartitionId, NodeId)>,
 }
 
 impl Engine {
@@ -250,6 +253,7 @@ impl Engine {
             split_began_at: 0,
             heal_waiters: Vec::new(),
             split_unavail_open: Vec::new(),
+            owed_copies: Vec::new(),
         }
     }
 
@@ -417,6 +421,11 @@ impl Engine {
                         node: None,
                         zone: None,
                     });
+                    if !self.owed_copies.is_empty() {
+                        for (part, node) in std::mem::take(&mut self.owed_copies) {
+                            self.repair_replica(part, node);
+                        }
+                    }
                     self.queue.schedule(self.cfg.sim.epoch_us, Ev::Epoch);
                 }
                 Ev::Plan => {
@@ -455,10 +464,7 @@ impl Engine {
                 }
                 Ev::StallCheck(part) => {
                     if self.cluster.parts[part.idx()].primary_down {
-                        let now = self.now();
-                        let poll = self.cfg.sim.stall_poll_us;
-                        self.cluster.stall_partition(part, now + poll);
-                        self.queue.schedule(poll, Ev::StallCheck(part));
+                        self.stall(part, false);
                     }
                 }
                 Ev::SplitPromote { part, target, seq } => {
@@ -526,9 +532,6 @@ impl Engine {
     /// partitions with no live replica until the node recovers).
     fn node_down(&mut self, proto: &mut dyn Protocol, node: NodeId) {
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] crash {node}");
-        }
         // The audit must read the dead node's log buffers *before*
         // `crash_node` drains them into the failover replay.
         self.audit_acked_unshipped(node);
@@ -540,7 +543,14 @@ impl Engine {
             zone,
         });
         self.abort_open_epochs();
-        self.fault_abort_touching(node);
+        self.fault_abort_where(|cluster, ctx| {
+            ctx.home == node
+                || ctx.participants.contains(&node)
+                || ctx
+                    .parts
+                    .iter()
+                    .any(|&p| cluster.placement.primary_of(p) == node)
+        });
         let mut replays: FastMap<u32, Vec<LogEntry>> =
             report.orphaned.into_iter().map(|(p, r)| (p.0, r)).collect();
         for d in plan_failover(&self.cluster, node) {
@@ -555,8 +565,6 @@ impl Engine {
                         .store(node, d.part)
                         .map(|s| s.log.head_lsn())
                         .unwrap_or(0);
-                    self.cluster.begin_failover(d.part, target, d.duration, now);
-                    let gen = self.cluster.parts[d.part.idx()].gen;
                     self.pending_failovers.insert(
                         d.part.0,
                         PendingFailover {
@@ -567,28 +575,19 @@ impl Engine {
                             crashed_at: now,
                         },
                     );
-                    self.queue
-                        .schedule(d.duration, Ev::FailoverDone { part: d.part, gen });
+                    self.begin_failover(d.part, target, d.duration);
                 }
-                None => {
-                    // No live gap-free replica: the partition stalls until
-                    // the node comes back ("protocols without a live replica
-                    // stall until Recover").
-                    self.emit(MetricEvent::PartitionStalled {
-                        at: now,
-                        part: d.part,
-                    });
-                    let poll = self.cfg.sim.stall_poll_us;
-                    self.cluster.stall_partition(d.part, now + poll);
-                    self.queue.schedule(poll, Ev::StallCheck(d.part));
-                }
+                // No live gap-free replica: the partition stalls until the
+                // node comes back ("protocols without a live replica stall
+                // until Recover").
+                None => self.stall(d.part, true),
             }
         }
         // Promotions whose target just died: re-plan them over the
         // remaining survivors (their unavailability windows stay open, and
         // the original dead primary's replay entries remain pending).
         for part in report.aborted_failovers {
-            self.replan_failover(part, now);
+            self.replan_failover(part);
         }
         proto.on_fault(self, &FaultNotice::NodeDown(node));
     }
@@ -596,7 +595,7 @@ impl Engine {
     /// Re-plans a canceled promotion for `part` (its target crashed before
     /// the hand-off finished): promote the freshest remaining gap-free
     /// replica, or stall until the original primary recovers.
-    fn replan_failover(&mut self, part: PartitionId, now: Time) {
+    fn replan_failover(&mut self, part: PartitionId) {
         let candidates = lion_faults::promotion_candidates(&self.cluster, part);
         let avoid = self
             .pending_failovers
@@ -617,21 +616,38 @@ impl Engine {
                 let lag = pf.dead_head.saturating_sub(applied);
                 pf.lag = lag;
                 let duration = lion_faults::price_promotion(&self.cfg.sim, lag);
-                self.cluster.begin_failover(part, target, duration, now);
-                let gen = self.cluster.parts[part.idx()].gen;
-                self.queue
-                    .schedule(duration, Ev::FailoverDone { part, gen });
+                self.begin_failover(part, target, duration);
             }
             None => {
                 // Every replica is gone: stall until the original primary
                 // restarts (its table still holds all committed writes).
-                self.emit(MetricEvent::PartitionStalled { at: now, part });
                 self.pending_failovers.remove(&part.0);
-                let poll = self.cfg.sim.stall_poll_us;
-                self.cluster.stall_partition(part, now + poll);
-                self.queue.schedule(poll, Ev::StallCheck(part));
+                self.stall(part, true);
             }
         }
+    }
+
+    /// Starts promoting `target` to primary of `part`; the promotion lands
+    /// after `duration` unless a later crash re-plans it (stale `gen`).
+    fn begin_failover(&mut self, part: PartitionId, target: NodeId, duration: Time) {
+        let now = self.now();
+        self.cluster.begin_failover(part, target, duration, now);
+        let gen = self.cluster.parts[part.idx()].gen;
+        self.queue
+            .schedule(duration, Ev::FailoverDone { part, gen });
+    }
+
+    /// Blocks `part`, whose primary is down with no live replica to promote,
+    /// for one stall poll and re-arms the check that extends the block until
+    /// the primary recovers. `announce` records the stall (its first poll).
+    fn stall(&mut self, part: PartitionId, announce: bool) {
+        let now = self.now();
+        if announce {
+            self.emit(MetricEvent::PartitionStalled { at: now, part });
+        }
+        let poll = self.cfg.sim.stall_poll_us;
+        self.cluster.stall_partition(part, now + poll);
+        self.queue.schedule(poll, Ev::StallCheck(part));
     }
 
     /// A failover promotion lands: replay the recovered prepare log, flip
@@ -651,12 +667,6 @@ impl Engine {
             zone: None,
         });
         let to = self.cluster.placement.primary_of(part);
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!(
-                "[{now}] failover {part} {} -> {to} (lag {})",
-                pf.from, pf.lag
-            );
-        }
         self.emit(MetricEvent::Failover {
             record: FailoverRecord {
                 part,
@@ -683,12 +693,9 @@ impl Engine {
 
     /// A node restarts: stalled partitions resume after a restart window
     /// priced like a remaster hand-off; partitions that failed over re-gain
-    /// the node as a secondary via background snapshot copies.
+    /// the node as a secondary through [`Engine::repair_replica`].
     fn node_up_event(&mut self, proto: &mut dyn Protocol, node: NodeId) {
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] recover {node}");
-        }
         let zone = self.cluster.zone(node);
         let report = self.cluster.recover_node(node, now);
         self.emit(MetricEvent::Recover {
@@ -705,30 +712,34 @@ impl Engine {
             });
         }
         for part in report.rejoin_secondaries {
-            let _ = self.add_replica_async(part, node, false);
+            self.repair_replica(part, node);
         }
         proto.on_fault(self, &FaultNotice::NodeUp(node));
     }
 
-    /// Aborts every in-flight transaction whose coordinator, participant, or
-    /// accessed primary sits on the dead node. Retries ride the normal
-    /// abort paths (back-off in standard mode, defer in batch mode).
-    fn fault_abort_touching(&mut self, node: NodeId) {
+    /// Re-copies a secondary of `part` onto `node` in the background: the
+    /// one repair path of a crashed node's rejoin, the split-brain heal and
+    /// Lion's anti-affinity repair. A copy refused because a node is down or
+    /// cut off is owed and retried on every replication flush tick until it
+    /// starts; a node that already hosts (or is copying) the replica is done.
+    pub fn repair_replica(&mut self, part: PartitionId, node: NodeId) {
+        if let Err(AdaptorError::Unreachable { .. }) = self.add_replica_async(part, node, false) {
+            self.owed_copies.push((part, node));
+        }
+    }
+
+    /// Fault-aborts every unparked in-flight transaction `hit` selects (a
+    /// crash's dead node, or the partitions a heal is about to swap).
+    /// Retries ride the normal abort paths (back-off in standard mode,
+    /// defer in batch mode).
+    fn fault_abort_where(&mut self, hit: impl Fn(&Cluster, &TxnCtx) -> bool) {
         let now = self.now();
         let mut victims = std::mem::take(&mut self.victim_buf);
         victims.clear();
         victims.extend(
             self.txns
                 .iter()
-                .filter(|ctx| {
-                    !ctx.parked
-                        && (ctx.home == node
-                            || ctx.participants.contains(&node)
-                            || ctx
-                                .parts
-                                .iter()
-                                .any(|&p| self.cluster.placement.primary_of(p) == node))
-                })
+                .filter(|ctx| !ctx.parked && hit(&self.cluster, ctx))
                 .map(|ctx| (ctx.seq, ctx.id)),
         );
         // Slab iteration follows slot order, which slot reuse decouples from
@@ -737,16 +748,7 @@ impl Engine {
         victims.sort_unstable();
         let backoff = self.cfg.sim.retry_backoff_us;
         for &(_, txn) in &victims {
-            let home = self.txn(txn).home;
-            self.emit(MetricEvent::Abort {
-                at: now,
-                fault: true,
-                node: home,
-                zone: self.cluster.zone(home),
-            });
-            self.release_all(txn);
-            self.txn_mut(txn).reset_for_retry(now + backoff);
-            self.txn_mut(txn).parked = true;
+            self.abort_attempt(txn, true, now + backoff);
             if self.batch_mode {
                 self.deferred.push(txn);
                 self.batch_done_one();
@@ -784,17 +786,7 @@ impl Engine {
     /// fully at heal. The issuing client blocks with it: no goodput is
     /// faked while the partition the client needs sits across the cut.
     pub fn park_until_heal(&mut self, txn: TxnId) {
-        let now = self.now();
-        let home = self.txn(txn).home;
-        self.emit(MetricEvent::Abort {
-            at: now,
-            fault: true,
-            node: home,
-            zone: self.cluster.zone(home),
-        });
-        self.release_all(txn);
-        self.txn_mut(txn).reset_for_retry(now);
-        self.txn_mut(txn).parked = true;
+        self.abort_attempt(txn, true, self.now());
         self.heal_waiters.push(txn);
         if self.batch_mode {
             self.batch_done_one();
@@ -838,15 +830,12 @@ impl Engine {
     fn begin_split_brain(&mut self, proto: &mut dyn Protocol, cut: Vec<NodeId>) {
         let _ = &proto; // topology is unchanged until promotions land
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-brain begin {cut:?}");
-        }
         self.split_seq += 1;
         self.split_began_at = now;
         self.emit(MetricEvent::PartitionBegin { at: now });
         let aborted = self.cluster.begin_split(&cut, now);
         for part in aborted {
-            self.replan_failover(part, now);
+            self.replan_failover(part);
         }
         // Park in-flight transactions the cut strands mid-protocol, in
         // submission order for a deterministic recovery timeline.
@@ -907,34 +896,7 @@ impl Engine {
     /// parked on this partition re-admit.
     fn split_promote_event(&mut self, proto: &mut dyn Protocol, part: PartitionId, target: NodeId) {
         let now = self.now();
-        let from = self.cluster.placement.primary_of(part);
-        let dead_head = self
-            .cluster
-            .store(from, part)
-            .map(|s| s.log.head_lsn())
-            .unwrap_or(0);
-        self.cluster.split_promote(part, target, now);
-        let promoted_head = self
-            .cluster
-            .store(target, part)
-            .map(|s| s.applied_lsn)
-            .unwrap_or(0);
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-promote {part} {from} -> {target}");
-        }
-        self.emit(MetricEvent::Failover {
-            record: FailoverRecord {
-                part,
-                from,
-                to: target,
-                dead_head,
-                promoted_head,
-                lag: 0,
-                crashed_at: self.split_began_at,
-                completed_at: now,
-            },
-            replayed: 0,
-        });
+        let from = self.land_split_promotion(part, target);
         self.emit(MetricEvent::UnavailEnd { at: now, part });
         self.split_unavail_open.retain(|&p| p != part);
         proto.on_fault(
@@ -948,6 +910,39 @@ impl Engine {
         self.resume_reachable_waiters();
     }
 
+    /// Lands a quorum-side promotion of `part` onto `target` (mid-window,
+    /// or a shadow promotion applied at heal): the serving primary flips
+    /// and the `Failover` record is emitted. Returns the demoted primary.
+    fn land_split_promotion(&mut self, part: PartitionId, target: NodeId) -> NodeId {
+        let now = self.now();
+        let from = self.cluster.placement.primary_of(part);
+        let dead_head = self
+            .cluster
+            .store(from, part)
+            .map(|s| s.log.head_lsn())
+            .unwrap_or(0);
+        self.cluster.split_promote(part, target, now);
+        let promoted_head = self
+            .cluster
+            .store(target, part)
+            .map(|s| s.applied_lsn)
+            .unwrap_or(0);
+        self.emit(MetricEvent::Failover {
+            record: FailoverRecord {
+                part,
+                from,
+                to: target,
+                dead_head,
+                promoted_head,
+                lag: 0,
+                crashed_at: self.split_began_at,
+                completed_at: now,
+            },
+            replayed: 0,
+        });
+        from
+    }
+
     /// The cut heals: reconcile the divergence the window accumulated.
     /// Order matters — (1) abort in-flight work on partitions whose serving
     /// primary is about to swap (prepare-locks must release against the
@@ -956,16 +951,14 @@ impl Engine {
     /// replica's log for acked-then-lost work, then discard it, (4) close
     /// promotion windows the mid-window hand-off never closed, (5) abort the
     /// fenced epochs and retry their parked clients, (6) end the window,
-    /// re-add each discarded replica via a background snapshot copy, and
-    /// release every remaining parked waiter.
+    /// re-copy each discarded replica through [`Engine::repair_replica`]
+    /// (which retries a copy a down node refuses), and release every
+    /// remaining parked waiter.
     fn heal_split_brain(&mut self, proto: &mut dyn Protocol) {
         if !self.cluster.split_active() {
             return;
         }
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-brain heal");
-        }
         self.emit(MetricEvent::PartitionHeal { at: now });
         let steps = plan_heal(&self.cluster);
         let swapping: Vec<PartitionId> = steps
@@ -973,39 +966,10 @@ impl Engine {
             .filter(|s| s.shadow.is_some())
             .map(|s| s.part)
             .collect();
-        if !swapping.is_empty() {
-            self.fault_abort_touching_parts(&swapping);
-        }
+        self.fault_abort_where(|_, ctx| ctx.parts.iter().any(|p| swapping.contains(p)));
         for step in &steps {
             if let Some(target) = step.shadow {
-                let from = self.cluster.placement.primary_of(step.part);
-                let dead_head = self
-                    .cluster
-                    .store(from, step.part)
-                    .map(|s| s.log.head_lsn())
-                    .unwrap_or(0);
-                self.cluster.split_promote(step.part, target, now);
-                let promoted_head = self
-                    .cluster
-                    .store(target, step.part)
-                    .map(|s| s.applied_lsn)
-                    .unwrap_or(0);
-                if std::env::var_os("LION_TRACE").is_some() {
-                    eprintln!("[{now}] heal-promote {} {from} -> {target}", step.part);
-                }
-                self.emit(MetricEvent::Failover {
-                    record: FailoverRecord {
-                        part: step.part,
-                        from,
-                        to: target,
-                        dead_head,
-                        promoted_head,
-                        lag: 0,
-                        crashed_at: self.split_began_at,
-                        completed_at: now,
-                    },
-                    replayed: 0,
-                });
+                let from = self.land_split_promotion(step.part, target);
                 proto.on_fault(
                     self,
                     &FaultNotice::FailoverComplete {
@@ -1052,49 +1016,12 @@ impl Engine {
         }
         self.cluster.end_split();
         // Re-copies run only once the cut is gone: `begin_add_replica`
-        // refuses a snapshot copy across an active cut. A copy refused for
-        // another reason (a node down at the heal) is not retried yet.
+        // refuses a snapshot copy across an active cut.
         for (part, n) in readds {
-            let _ = self.add_replica_async(part, n, false);
+            self.repair_replica(part, n);
         }
         self.resume_reachable_waiters();
         debug_assert!(self.heal_waiters.is_empty(), "waiters survived the heal");
-    }
-
-    /// Aborts every in-flight transaction touching one of `parts` (the
-    /// heal is about to swap their serving primaries; prepare-locks must
-    /// release while the placement that granted them still routes there).
-    fn fault_abort_touching_parts(&mut self, parts: &[PartitionId]) {
-        let now = self.now();
-        let mut victims = std::mem::take(&mut self.victim_buf);
-        victims.clear();
-        victims.extend(
-            self.txns
-                .iter()
-                .filter(|ctx| !ctx.parked && ctx.parts.iter().any(|p| parts.contains(p)))
-                .map(|ctx| (ctx.seq, ctx.id)),
-        );
-        victims.sort_unstable();
-        let backoff = self.cfg.sim.retry_backoff_us;
-        for &(_, txn) in &victims {
-            let home = self.txn(txn).home;
-            self.emit(MetricEvent::Abort {
-                at: now,
-                fault: true,
-                node: home,
-                zone: self.cluster.zone(home),
-            });
-            self.release_all(txn);
-            self.txn_mut(txn).reset_for_retry(now + backoff);
-            self.txn_mut(txn).parked = true;
-            if self.batch_mode {
-                self.deferred.push(txn);
-                self.batch_done_one();
-            } else {
-                self.queue.schedule(backoff, Ev::Retry(txn));
-            }
-        }
-        self.victim_buf = victims; // recycle the allocation
     }
 
     fn create_txn(&mut self, client: ClientId) -> TxnId {
@@ -1145,10 +1072,6 @@ impl Engine {
                 let rt = &self.cluster.parts[part.idx()];
                 if rt.gen != gen || rt.remastering.is_none() {
                     return; // transfer canceled by a crash
-                }
-                let to = rt.remastering;
-                if std::env::var_os("LION_TRACE").is_some() {
-                    eprintln!("[{now}] remaster {part} -> {to:?}");
                 }
                 let bytes = self.cluster.finish_remaster(part, now);
                 self.emit(MetricEvent::Remaster { at: now, part });
@@ -1853,18 +1776,8 @@ impl Engine {
     /// Aborts the current attempt and schedules a retry after the configured
     /// back-off (standard mode).
     pub fn abort_retry(&mut self, txn: TxnId) {
-        let now = self.now();
-        let home = self.txn(txn).home;
-        self.emit(MetricEvent::Abort {
-            at: now,
-            fault: false,
-            node: home,
-            zone: self.cluster.zone(home),
-        });
-        self.release_all(txn);
         let backoff = self.cfg.sim.retry_backoff_us;
-        self.txn_mut(txn).reset_for_retry(now + backoff);
-        self.txn_mut(txn).parked = true;
+        self.abort_attempt(txn, false, self.now() + backoff);
         self.queue.schedule(backoff, Ev::Retry(txn));
     }
 
@@ -1872,19 +1785,26 @@ impl Engine {
     /// batch (Aria-style carry-over; batch mode only).
     pub fn abort_defer(&mut self, txn: TxnId) {
         debug_assert!(self.batch_mode, "defer is a batch-mode operation");
-        let now = self.now();
+        self.abort_attempt(txn, false, self.now());
+        self.deferred.push(txn);
+        self.batch_done_one();
+    }
+
+    /// Ends the current attempt of `txn`: records the abort, releases its
+    /// locks and parks it, resetting its context for a retry at `retry_at`.
+    /// The caller decides where the retry comes from.
+    fn abort_attempt(&mut self, txn: TxnId, fault: bool, retry_at: Time) {
         let home = self.txn(txn).home;
         self.emit(MetricEvent::Abort {
-            at: now,
-            fault: false,
+            at: self.now(),
+            fault,
             node: home,
             zone: self.cluster.zone(home),
         });
         self.release_all(txn);
-        self.txn_mut(txn).reset_for_retry(now);
-        self.txn_mut(txn).parked = true;
-        self.deferred.push(txn);
-        self.batch_done_one();
+        let ctx = self.txn_mut(txn);
+        ctx.reset_for_retry(retry_at);
+        ctx.parked = true;
     }
 
     fn batch_done_one(&mut self) {
@@ -1912,7 +1832,7 @@ impl Engine {
                 Ok(d)
             }
             Err(e) => {
-                if matches!(e, AdaptorError::Busy(_)) {
+                if matches!(e, AdaptorError::Busy(_) | AdaptorError::Unreachable { .. }) {
                     self.emit(MetricEvent::RemasterConflict { at: now });
                 }
                 Err(e)

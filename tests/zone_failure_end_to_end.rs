@@ -47,6 +47,17 @@ fn run_zone_loss(placement: PlacementPolicy) -> (Engine, RunReport) {
     (eng, report)
 }
 
+/// After the heal every partition is back at its replication factor: each
+/// replica the outage dropped was copied again before the horizon.
+fn assert_back_at_rf(eng: &Engine) {
+    let rf = eng.config().sim.replication_factor;
+    let below: Vec<PartitionId> = (0..eng.cluster.n_partitions())
+        .map(|i| PartitionId(i as u32))
+        .filter(|&p| eng.cluster.placement.replica_count(p) < rf)
+        .collect();
+    assert!(below.is_empty(), "below rf {below:?}");
+}
+
 /// The figf2 acceptance condition, rack-safe side: a single-zone crash
 /// leaves every partition with a live replica — zero stalled partitions,
 /// every orphaned primary promoted onto the surviving rack.
@@ -82,6 +93,7 @@ fn rack_safe_zone_loss_leaves_every_partition_promotable() {
         );
     }
     assert!(report.commits > 1_000, "commits {}", report.commits);
+    assert_back_at_rf(&eng);
     eng.cluster.check_invariants().unwrap();
 }
 
@@ -110,6 +122,7 @@ fn locality_first_zone_loss_stalls_rack_local_partitions() {
         "no stall spanned the outage (longest {longest}us vs {outage}us)"
     );
     assert!(report.commits > 500, "survivors keep committing");
+    assert_back_at_rf(&eng);
     eng.cluster.check_invariants().unwrap();
 }
 
